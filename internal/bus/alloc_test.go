@@ -56,7 +56,7 @@ func TestRingTickZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMeshTickZeroAllocs: the mesh double-buffers its branch set and
+// TestMeshTickZeroAllocs: the mesh compacts its branch set in place and
 // reuses the arrival scratch; after a warmup drain grows them (and the
 // spawn path's high-water mark), per-cycle ticking and the DataPhase
 // query must be allocation-free. Message headers are allocated in

@@ -123,6 +123,65 @@ func TestDataPhaseZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Ring.DataPhase allocated %.2f times per call", allocs)
 	}
+	for _, wrap := range []bool{false, true} {
+		ms, now := loadedMesh64(wrap)
+		if allocs := testing.AllocsPerRun(1000, func() {
+			for _, addr := range []uint64{0x100000, 0x100400, 0x100800, 0x200000} {
+				ms.DataPhase(addr, 63, now)
+			}
+		}); allocs != 0 {
+			t.Fatalf("wrap=%v: loaded 64-node Mesh.DataPhase allocated %.2f times per call", wrap, allocs)
+		}
+	}
+}
+
+// loadedMesh64 builds a 64-node mesh (or torus) carrying 24 broadcasts
+// from spread-out sources mid-flight — about 200 branches, the load a
+// 64-node ESP run keeps on the wire — and returns it with the cycle it
+// was last ticked at.
+func loadedMesh64(wrap bool) (*Mesh, uint64) {
+	ms := NewMesh(DefaultLinkConfig(), 64)
+	if wrap {
+		ms = NewTorus(DefaultLinkConfig(), 64)
+	}
+	for i := 0; i < 24; i++ {
+		ms.Enqueue(Message{
+			Kind: Broadcast, Src: (i * 13) % 64,
+			Addr: 0x100000 + uint64(i)*0x40, PayloadBytes: 32,
+			ReadyAt: uint64(i % 8),
+		})
+	}
+	now := uint64(0)
+	for ; now < 30; now++ {
+		ms.Tick(now)
+	}
+	return ms, now - 1
+}
+
+// BenchmarkDataPhase times one stall-classification query on a loaded
+// 64-node mesh: a line with a broadcast in flight, a line with none, and
+// the same two queries answered by the branch scan DataPhase replaced
+// (kept in dataphase_diff_test.go as the reference model).
+func BenchmarkDataPhase(b *testing.B) {
+	ms, now := loadedMesh64(false)
+	b.Logf("64-node mesh: %d messages, %d branches in flight", ms.Pending(), len(ms.flight))
+	for _, q := range []struct {
+		name string
+		addr uint64
+	}{{"hit", 0x100000 + 17*0x40}, {"miss", 0x200000}} {
+		b.Run("messages/"+q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ms.DataPhase(q.addr, 63, now)
+			}
+		})
+		b.Run("branches/"+q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				meshDataPhaseByBranch(ms, q.addr, 63)
+			}
+		})
+	}
 }
 
 // TestMeshDataPhase mirrors TestRingDataPhase on the multi-hop mesh:

@@ -18,21 +18,32 @@ const (
 )
 
 // meshMsg is the per-message header shared by all of a message's tree
-// branches: the payload, the liveness refcount, and the column spans the
+// branches: the payload, the liveness refcount, the column spans the
 // dimension-order broadcast tree spawns at every row node (all spawning
-// nodes sit in the source's row, so the spans are fixed at enqueue).
+// nodes sit in the source's row, so the spans are fixed at enqueue), and
+// the summary DataPhase reads instead of walking the branches.
 type meshMsg struct {
 	msg Message
 	// branches counts live branches; the message leaves the network when
 	// it reaches zero.
 	branches int
+	// hopping counts branches with a hop in progress (inFlight); any
+	// makes the whole message PhaseTransfer.
+	hopping int
 	// injected marks that some branch has started its first hop (for the
 	// one-shot bus.grant observation and for PurgeSource, which drops
 	// only messages that have not touched the wire).
 	injected bool
+	// srcDirs has bit d set for each branch the message starts with.
+	// Until injected, those are exactly its branches, all sitting at
+	// msg.Src with readyAt == msg.ReadyAt, so the source links
+	// msg.Src*numDirs+d decide queued versus blocked.
+	srcDirs uint8
 	// colPlus/colMinus are the +Y/-Y spans of the column branches a
 	// broadcast spawns at each row node (zero for point-to-point).
 	colPlus, colMinus int
+	// slot is the header's index in Mesh.live and Mesh.liveAddr.
+	slot int
 }
 
 // meshBranch is one branch of a message's route: a point-to-point
@@ -81,26 +92,28 @@ type Mesh struct {
 	wrap bool
 	// linkFree[node*4+dir] is the first cycle that directed link is idle.
 	linkFree []uint64
-	// flight and next are double-buffered branch sets: Tick drains one
-	// and builds the other, because compacting in place would alias the
-	// branches it spawns mid-scan.
-	flight, next []meshBranch
-	// liveMsgs counts messages with surviving branches (Pending) and
-	// bySrc the same per source node (SourcePending).
-	liveMsgs int
-	bySrc    []int
-	stats    Stats
-	obs      obs.Observer
+	// flight is the branch set, in enqueue-then-spawn order (Tick's
+	// link-arbitration order).
+	flight []meshBranch
+	// live holds every message with surviving branches, one header each,
+	// in no particular order: a header joins at Enqueue and leaves by
+	// swap-remove when its last branch retires (Tick) or dies with its
+	// source (PurgeSource), so live[h.slot] == h always holds.
+	// liveAddr[i] mirrors live[i].msg.Addr, so a DataPhase query scans one
+	// contiguous slice and touches only the headers whose line matches.
+	live     []*meshMsg
+	liveAddr []uint64
+	// bySrc counts live messages per source node (SourcePending).
+	bySrc []int
+	stats Stats
+	obs   obs.Observer
 	// arrivals is the scratch buffer Tick returns; reused so the
 	// per-cycle delivery path is allocation-free in steady state.
 	arrivals []Arrival
-	// hdrPool and hdrMap back the header values CopyStateFrom
-	// materialises, reused across copies so prediction scratchpads stay
-	// allocation-free in steady state. hdrMap is lookup-only — never
-	// iterated — so map order cannot influence the copy. Unused outside
-	// CopyStateFrom targets.
+	// hdrPool backs the header values CopyStateFrom materialises, reused
+	// across copies so prediction scratchpads stay allocation-free in
+	// steady state. Unused outside CopyStateFrom targets.
 	hdrPool []meshMsg
-	hdrMap  map[*meshMsg]*meshMsg
 }
 
 // meshDims factors n into the squarest W×H grid with W ≤ H: the largest
@@ -246,6 +259,7 @@ func (ms *Mesh) Enqueue(m Message) {
 		panic(fmt.Sprintf("mesh: bad source %d", m.Src))
 	}
 	hdr := &meshMsg{msg: m}
+	start := len(ms.flight)
 	if m.Kind == Broadcast {
 		rowPlus, rowMinus := ms.spans(m.Src%ms.w, ms.w)
 		hdr.colPlus, hdr.colMinus = ms.spans(m.Src/ms.w, ms.h)
@@ -265,8 +279,13 @@ func (ms *Mesh) Enqueue(m Message) {
 		hdr.branches++
 		ms.flight = append(ms.flight, meshBranch{m: hdr, at: m.Src, dir: ms.routeDir(m.Src, m.Dst), readyAt: m.ReadyAt, remaining: ms.hopCount(m.Src, m.Dst)})
 	}
+	for _, b := range ms.flight[start:] {
+		hdr.srcDirs |= 1 << b.dir
+	}
 	if hdr.branches > 0 {
-		ms.liveMsgs++
+		hdr.slot = len(ms.live)
+		ms.live = append(ms.live, hdr)
+		ms.liveAddr = append(ms.liveAddr, m.Addr)
 		ms.bySrc[m.Src]++
 	}
 	ms.stats.TotalQueued.Inc()
@@ -292,9 +311,25 @@ func spawnColumns(dst []meshBranch, hdr *meshMsg, at int, readyAt uint64) []mesh
 	return dst
 }
 
+// retire removes a message whose last branch has finished or died from
+// the live list, moving the list's last header into its slot.
+//
+//dsvet:hotpath
+func (ms *Mesh) retire(h *meshMsg) {
+	last := len(ms.live) - 1
+	moved := ms.live[last]
+	moved.slot = h.slot
+	ms.live[h.slot] = moved
+	ms.liveAddr[h.slot] = ms.liveAddr[last]
+	ms.live[last] = nil
+	ms.live = ms.live[:last]
+	ms.liveAddr = ms.liveAddr[:last]
+	ms.bySrc[h.msg.Src]--
+}
+
 // Pending implements Network: messages (not branches) still on the
 // interconnect.
-func (ms *Mesh) Pending() int { return ms.liveMsgs }
+func (ms *Mesh) Pending() int { return len(ms.live) }
 
 // SourcePending implements Network.
 func (ms *Mesh) SourcePending(src int) int { return ms.bySrc[src] }
@@ -311,8 +346,7 @@ func (ms *Mesh) PurgeSource(src int) int {
 			b.m.branches--
 			if b.m.branches == 0 {
 				n++
-				ms.liveMsgs--
-				ms.bySrc[src]--
+				ms.retire(b.m)
 			}
 			continue
 		}
@@ -369,64 +403,61 @@ func (ms *Mesh) Lookahead() uint64 {
 func (ms *Mesh) NewScratch() Network { return newMesh(ms.cfg, ms.n, ms.wrap) }
 
 // CopyStateFrom implements Network for the mesh: replicate link
-// occupancy, counters, and every branch, cloning each distinct shared
-// header exactly once so sibling branches of one broadcast keep sharing
-// a refcounted header in the copy. Header values land in a reused pool
-// whose capacity is ensured up front (distinct headers never outnumber
-// branches), so the pointers handed out stay stable.
+// occupancy, counters, the live list and every branch. Header i of the
+// copy is a clone of src's live[i], so each branch finds its header's
+// copy at its slot and sibling branches of one broadcast keep sharing a
+// refcounted header. Header values land in a reused pool, sized before
+// any pointer into it is taken, so those pointers stay stable.
 func (ms *Mesh) CopyStateFrom(src Network) {
 	s := src.(*Mesh)
 	copy(ms.linkFree, s.linkFree)
 	copy(ms.bySrc, s.bySrc)
-	ms.liveMsgs = s.liveMsgs
-	if cap(ms.hdrPool) < len(s.flight) {
-		ms.hdrPool = make([]meshMsg, 0, len(s.flight))
+	if cap(ms.hdrPool) < len(s.live) {
+		ms.hdrPool = make([]meshMsg, len(s.live), 2*len(s.live))
 	}
-	ms.hdrPool = ms.hdrPool[:0]
-	if ms.hdrMap == nil {
-		ms.hdrMap = make(map[*meshMsg]*meshMsg, len(s.flight))
+	ms.hdrPool = ms.hdrPool[:len(s.live)]
+	clear(ms.live[min(len(s.live), len(ms.live)):])
+	ms.live = ms.live[:0]
+	for i, h := range s.live {
+		ms.hdrPool[i] = *h
+		ms.live = append(ms.live, &ms.hdrPool[i])
 	}
-	clear(ms.hdrMap)
-	for i := len(s.flight); i < len(ms.flight); i++ {
-		ms.flight[i] = meshBranch{}
-	}
+	ms.liveAddr = append(ms.liveAddr[:0], s.liveAddr...)
+	clear(ms.flight[min(len(s.flight), len(ms.flight)):])
 	ms.flight = ms.flight[:0]
 	for _, b := range s.flight {
-		hdr, ok := ms.hdrMap[b.m]
-		if !ok {
-			ms.hdrPool = append(ms.hdrPool, *b.m)
-			hdr = &ms.hdrPool[len(ms.hdrPool)-1]
-			ms.hdrMap[b.m] = hdr
-		}
-		b.m = hdr
+		b.m = &ms.hdrPool[b.m.slot]
 		ms.flight = append(ms.flight, b)
 	}
 }
 
 // DataPhase implements Network for the mesh, mirroring the ring's
-// binding-constraint semantics: any branch of a matching message on the
-// wire is Transfer; a tree not yet injected whose own readiness is the
-// binding constraint (its departure link already free by then) is
-// Queued; anything else waits behind other traffic — Blocked. All
+// binding-constraint semantics: a matching message with any branch on
+// the wire is Transfer; a tree not yet injected whose own readiness is
+// the binding constraint (every departure link already free by then) is
+// Queued; anything else waits behind other traffic — Blocked. The scan
+// is one address compare per live message; the branch-level state it
+// needs is summarised in the header (hopping, injected, srcDirs). All
 // inputs are frozen across any stretch NextDeliveryCycle certifies as
 // no-ops, so attribution cannot flip inside a skipped stretch.
 //
 //dsvet:hotpath
 func (ms *Mesh) DataPhase(addr uint64, dst int, now uint64) MsgPhase {
 	best := PhaseAbsent
-	for i := range ms.flight {
-		b := &ms.flight[i]
-		if !dataMatch(b.m.msg, addr, dst) {
+	for i, a := range ms.liveAddr {
+		if a != addr {
 			continue
 		}
-		var p MsgPhase
+		h := ms.live[i]
+		if !dataMatch(h.msg, addr, dst) {
+			continue
+		}
+		p := PhaseBlocked
 		switch {
-		case b.inFlight:
-			p = PhaseTransfer
-		case !b.m.injected && ms.linkFree[b.at*numDirs+int(b.dir)] <= b.readyAt:
+		case h.hopping > 0:
+			return PhaseTransfer // the maximum phase: nothing can beat it
+		case !h.injected && ms.sourceLinksFree(h):
 			p = PhaseQueued
-		default:
-			p = PhaseBlocked
 		}
 		if p > best {
 			best = p
@@ -435,36 +466,54 @@ func (ms *Mesh) DataPhase(addr uint64, dst int, now uint64) MsgPhase {
 	return best
 }
 
+// sourceLinksFree reports whether every departure link of an
+// uninjected message is free by the message's own ReadyAt. One busy
+// link makes the branch behind it Blocked, which outranks the others'
+// Queued.
+func (ms *Mesh) sourceLinksFree(h *meshMsg) bool {
+	links := ms.linkFree[h.msg.Src*numDirs : h.msg.Src*numDirs+numDirs]
+	for d := range links {
+		if h.srcDirs&(1<<d) != 0 && links[d] > h.msg.ReadyAt {
+			return false
+		}
+	}
+	return true
+}
+
 // Tick implements Network. Each branch alternates between completing a
 // hop — delivering at the node it reaches and, on row branches,
 // spawning that node's column branches — and starting its next hop as
-// soon as its outgoing link is free. Spawned branches join the scan of
-// the same Tick in deterministic append order, so a column branch may
-// start its first hop the same cycle its row parent arrives (the router
-// forwards and replicates in one cycle; HopCycles models the latency).
-// Distinct links carry distinct branches concurrently. The returned
-// slice is only valid until the next call.
+// soon as its outgoing link is free. Spawned branches are appended to
+// the branch set and join the scan of the same Tick in deterministic
+// append order, so a column branch may start its first hop the same
+// cycle its row parent arrives (the router forwards and replicates in
+// one cycle; HopCycles models the latency). Finished branches are
+// compacted out in place: the write index never passes the read index,
+// and spawns land beyond both, so a surviving branch is only copied once
+// an earlier one has finished. Distinct links carry distinct branches
+// concurrently. The returned slice is only valid until the next call.
 //
 //dsvet:hotpath
 func (ms *Mesh) Tick(now uint64) []Arrival {
 	out := ms.arrivals[:0]
-	cur := ms.flight
-	kept := ms.next[:0]
-	for i := 0; i < len(cur); i++ {
-		b := cur[i]
+	kept := 0
+	for i := 0; i < len(ms.flight); i++ {
+		b := &ms.flight[i]
 		// Complete an in-progress hop whose transfer has finished.
 		if b.inFlight && b.readyAt <= now {
 			b.inFlight = false
+			b.m.hopping--
 			b.remaining--
 			if b.m.msg.Kind == Broadcast {
 				// Tree branches deliver at every node they reach and
 				// never revisit the source.
 				out = append(out, Arrival{Node: b.at, Msg: b.m.msg})
 				if b.spawn {
-					// Row branch: sprout this row node's column branches.
-					// They join cur and are scanned later in this same
-					// Tick, in deterministic append order.
-					cur = spawnColumns(cur, b.m, b.at, now)
+					// Row branch: sprout this row node's column branches,
+					// scanned later in this same Tick. The append may move
+					// the branch set, so re-take b.
+					ms.flight = spawnColumns(ms.flight, b.m, b.at, now)
+					b = &ms.flight[i]
 				}
 			} else if b.remaining == 0 {
 				out = append(out, Arrival{Node: b.at, Msg: b.m.msg})
@@ -472,8 +521,7 @@ func (ms *Mesh) Tick(now uint64) []Arrival {
 			if b.remaining == 0 {
 				b.m.branches--
 				if b.m.branches == 0 {
-					ms.liveMsgs--
-					ms.bySrc[b.m.msg.Src]--
+					ms.retire(b.m)
 				}
 				continue // branch done
 			}
@@ -500,17 +548,17 @@ func (ms *Mesh) Tick(now uint64) []Arrival {
 				b.at = ms.neighbor(b.at, b.dir)
 				b.readyAt = now + occ
 				b.inFlight = true
+				b.m.hopping++
 			}
 		}
-		kept = append(kept, b)
+		if kept != i {
+			ms.flight[kept] = *b
+		}
+		kept++
 	}
-	// Swap the double buffers; clear the drained one's tail so stale
-	// headers are collectable.
-	for i := range cur {
-		cur[i] = meshBranch{}
-	}
-	ms.next = cur[:0]
-	ms.flight = kept
+	// Clear the compacted-away tail so stale headers are collectable.
+	clear(ms.flight[kept:])
+	ms.flight = ms.flight[:kept]
 	ms.arrivals = out
 	return out
 }

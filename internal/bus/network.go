@@ -10,10 +10,12 @@ type Arrival struct {
 	Msg  Message
 }
 
-// Network abstracts the global interconnect so machines can run over a
-// bus or a ring (the paper discusses both: buses make broadcasts free,
-// rings offer higher performance with every node observing passing
-// messages).
+// Network abstracts the global interconnect so machines can run over
+// any of the four topologies (TopologyKind): a bus, a unidirectional
+// ring, a 2D mesh or a 2D torus. The paper discusses the first two —
+// buses make broadcasts free, rings offer higher performance with every
+// node observing passing messages — and the mesh and torus carry the
+// same link model to hundreds of nodes.
 type Network interface {
 	// Enqueue submits a message from its source chip.
 	Enqueue(m Message)

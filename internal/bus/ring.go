@@ -87,16 +87,15 @@ type Ring struct {
 	n   int
 	// linkFree[i] is the first cycle link i->i+1 is idle.
 	linkFree []uint64
-	flight   []*ringMsg
-	stats    Stats
-	obs      obs.Observer
+	// flight holds every message on the ring by value, in enqueue order
+	// (Tick's link-arbitration order). A ring message is a single branch,
+	// so this is also the live-message list DataPhase scans.
+	flight []ringMsg
+	stats  Stats
+	obs    obs.Observer
 	// arrivals is the scratch buffer Tick returns; reused so the per-cycle
 	// delivery path is allocation-free in steady state.
 	arrivals []Arrival
-	// pool backs the ringMsg values CopyStateFrom materialises, reused
-	// across copies so prediction scratchpads stay allocation-free in
-	// steady state. Unused outside CopyStateFrom targets.
-	pool []ringMsg
 }
 
 // SetObserver attaches an observer emitting a bus.grant event when a
@@ -133,7 +132,7 @@ func (r *Ring) Enqueue(m Message) {
 			hops = r.n // self-send degenerates to a full loop; callers avoid it
 		}
 	}
-	r.flight = append(r.flight, &ringMsg{msg: m, at: m.Src, readyAt: m.ReadyAt, remaining: hops})
+	r.flight = append(r.flight, ringMsg{msg: m, at: m.Src, readyAt: m.ReadyAt, remaining: hops})
 	r.stats.TotalQueued.Inc()
 	r.stats.Messages.Inc()
 	r.stats.Bytes.Add(uint64(m.WireBytes()))
@@ -148,8 +147,8 @@ func (r *Ring) Pending() int { return len(r.flight) }
 // src, wherever they currently sit on the ring.
 func (r *Ring) SourcePending(src int) int {
 	n := 0
-	for _, f := range r.flight {
-		if f.msg.Src == src {
+	for i := range r.flight {
+		if r.flight[i].msg.Src == src {
 			n++
 		}
 	}
@@ -171,11 +170,6 @@ func (r *Ring) PurgeSource(src int) int {
 		}
 		kept = append(kept, f)
 	}
-	// Clear the tail so dropped *ringMsg pointers do not linger in the
-	// backing array.
-	for i := len(kept); i < len(r.flight); i++ {
-		r.flight[i] = nil
-	}
 	r.flight = kept
 	return n
 }
@@ -188,7 +182,8 @@ func (r *Ring) PurgeSource(src int) int {
 // recomputes.
 func (r *Ring) NextDeliveryCycle(now uint64) uint64 {
 	next := uint64(NoEvent)
-	for _, f := range r.flight {
+	for i := range r.flight {
+		f := &r.flight[i]
 		at := f.readyAt
 		if !f.inFlight && r.linkFree[f.at] > at {
 			at = r.linkFree[f.at]
@@ -219,25 +214,11 @@ func (r *Ring) Lookahead() uint64 {
 func (r *Ring) NewScratch() Network { return NewRing(r.cfg, r.n) }
 
 // CopyStateFrom implements Network for the ring: replicate link
-// occupancy and every in-flight message. Message values land in a
-// reused pool whose capacity is ensured up front, so the pointers taken
-// during the copy stay stable.
+// occupancy and every in-flight message, reusing the flight storage.
 func (r *Ring) CopyStateFrom(src Network) {
 	s := src.(*Ring)
 	copy(r.linkFree, s.linkFree)
-	if cap(r.pool) < len(s.flight) {
-		r.pool = make([]ringMsg, 0, len(s.flight))
-	}
-	r.pool = r.pool[:0]
-	// Clear any stale pointers beyond the new length before truncating.
-	for i := len(s.flight); i < len(r.flight); i++ {
-		r.flight[i] = nil
-	}
-	r.flight = r.flight[:0]
-	for _, f := range s.flight {
-		r.pool = append(r.pool, *f)
-		r.flight = append(r.flight, &r.pool[len(r.pool)-1])
-	}
+	r.flight = append(r.flight[:0], s.flight...)
 }
 
 // DataPhase implements Network for the ring. The queued-versus-blocked
@@ -249,7 +230,8 @@ func (r *Ring) CopyStateFrom(src Network) {
 //dsvet:hotpath
 func (r *Ring) DataPhase(addr uint64, dst int, now uint64) MsgPhase {
 	best := PhaseAbsent
-	for _, f := range r.flight {
+	for i := range r.flight {
+		f := &r.flight[i]
 		if !dataMatch(f.msg, addr, dst) {
 			continue
 		}
@@ -281,6 +263,8 @@ func (r *Ring) DataPhase(addr uint64, dst int, now uint64) MsgPhase {
 //dsvet:hotpath
 func (r *Ring) Tick(now uint64) []Arrival {
 	out := r.arrivals[:0]
+	// f is a copy, written back through kept: in-place compaction never
+	// overwrites an entry it has yet to read.
 	kept := r.flight[:0]
 	for _, f := range r.flight {
 		// Complete an in-progress hop whose transfer has finished.

@@ -532,7 +532,7 @@ func (m *Machine) selfServe(nd *node, line uint64) {
 	if nd.wake > m.now {
 		nd.wake = m.now
 	}
-	if e, ok := nd.outstanding[line]; ok && e.pending {
+	if e := nd.outstanding.get(line); e != nil && e.pending {
 		e.pending = false
 		e.dataAt = dataAt
 	}

@@ -307,8 +307,8 @@ func NewMachine(cfg Config, p *prog.Program, pt *mem.PageTable) (*Machine, error
 			bshr:        NewBSHR(cfg.BSHRBufferCap),
 			pt:          pt,
 			net:         m.net,
-			outstanding: make(map[uint64]*missEntry),
-			inflight:    make(map[ooo.LoadToken]issueInfo),
+			outstanding: newLineTable(cfg.Core.LSQSize),
+			inflight:    newIssueTable(cfg.Core.RUUSize),
 			digests:     make(map[uint64]uint64),
 		}
 		nd.m = m
@@ -676,7 +676,7 @@ func (m *Machine) deadlockError() error {
 			Committed:   nd.core.Committed(),
 			MemCommits:  nd.memCommits,
 			LastCommit:  nd.core.LastCommitCycle(),
-			Outstanding: len(nd.outstanding),
+			Outstanding: nd.outstanding.len(),
 			SrcPending:  m.net.SourcePending(nd.id),
 			Buffered:    nd.bshr.Buffered(),
 		}

@@ -83,6 +83,8 @@ type missEntry struct {
 // issueInfo remembers the issue-time event of an in-flight load so the
 // commit-time handler can detect false hits and false misses.
 type issueInfo struct {
+	// tag is the load's token plus one (zero: empty slot); see issueTable.
+	tag      uint64
 	hit      bool
 	attached bool // holds a reference on the line's missEntry
 }
@@ -113,11 +115,14 @@ type node struct {
 	pt   *mem.PageTable
 	net  bus.Network
 
-	outstanding map[uint64]*missEntry
+	// outstanding maps each line with an open miss episode to its DCUB
+	// entry; inflight holds every issued, uncommitted load's issue-time
+	// event. Both are slot tables (slots.go).
+	outstanding lineTable
 	// missFree recycles missEntry records: steady state opens and closes
 	// miss episodes constantly, and reuse keeps that off the allocator.
 	missFree []*missEntry
-	inflight map[ooo.LoadToken]issueInfo
+	inflight issueTable
 
 	// bcastSeq numbers this node's broadcasts; the fault plan keys its
 	// injection decisions on (src, dst, line, seq), a stable identity
@@ -157,14 +162,15 @@ var _ ooo.LoadClassifier = (*node)(nil)
 // counters, and the interconnect's message positions), so it is constant
 // across any stretch the next-event scheduler skips — the property the
 // skip/noskip CPI differential relies on.
+//
+//dsvet:hotpath
 func (n *node) ClassifyLoad(now uint64, tok ooo.LoadToken, addr uint64) obs.StallKind {
-	info, ok := n.inflight[tok]
-	if !ok || info.hit {
+	if info := n.inflight.get(tok); info == nil || info.hit {
 		// An issue-time hit completing its load-to-use latency.
 		return obs.StallExec
 	}
-	e, ok := n.outstanding[n.l1.LineAddr(addr)]
-	if !ok {
+	e := n.outstanding.get(n.l1.LineAddr(addr))
+	if e == nil {
 		return obs.StallExec
 	}
 	if !e.pending {
@@ -203,19 +209,22 @@ func (n *node) obsEvent(kind obs.EventKind, addr, arg uint64) {
 }
 
 // IssueLoad implements ooo.MemPort: the issue-time load path of Figure 5.
+//
+//dsvet:hotpath
 func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (uint64, bool) {
 	line := n.l1.LineAddr(addr)
 	if n.cfg.TraceLine != 0 && line == n.cfg.TraceLine {
-		e := n.outstanding[line]
+		e := n.outstanding.get(line)
+		//dsvet:ok hotpath-alloc line tracing is a debugging mode that also forces the serial loop
 		n.m.traceEvent(n.id, "issue tok=%d probe=%v entry=%v pending=%v", tok, n.l1.Probe(addr), e != nil, e != nil && e.pending)
 	}
 
 	// Merge into an outstanding miss episode if one exists.
-	if e, ok := n.outstanding[line]; ok {
+	if e := n.outstanding.get(line); e != nil {
 		n.stats.IssueMisses.Inc()
 		n.stats.MergedMisses.Inc()
 		n.obsEvent(obs.EvMissFold, line, uint64(e.refs))
-		n.inflight[tok] = issueInfo{hit: false, attached: true}
+		n.inflight.put(tok, issueInfo{hit: false, attached: true})
 		e.refs++
 		if e.pending {
 			// Join the BSHR wait for the episode's broadcast.
@@ -232,11 +241,11 @@ func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (
 	// Issue-time tag probe against committed state.
 	if n.l1.Probe(addr) {
 		n.stats.IssueHits.Inc()
-		n.inflight[tok] = issueInfo{hit: true}
+		n.inflight.put(tok, issueInfo{hit: true})
 		return now + n.cfg.L1HitCycles, false
 	}
 	n.stats.IssueMisses.Inc()
-	n.inflight[tok] = issueInfo{hit: false, attached: true}
+	n.inflight.put(tok, issueInfo{hit: false, attached: true})
 
 	var e *missEntry
 	if k := len(n.missFree); k > 0 {
@@ -244,9 +253,10 @@ func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (
 		n.missFree = n.missFree[:k-1]
 		*e = missEntry{line: line, refs: 1}
 	} else {
+		//dsvet:ok hotpath-alloc the missEntry freelist grows to the peak number of open episodes, then recycles
 		e = &missEntry{line: line, refs: 1}
 	}
-	n.outstanding[line] = e
+	n.outstanding.put(line, e)
 
 	if n.pt.Owns(addr, n.id) {
 		// Local memory has the line (replicated page, or this node owns
@@ -282,18 +292,23 @@ func (n *node) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (
 
 // CommitLoad implements ooo.MemPort: the commit-time tag update (DCUB
 // drain) plus false hit/miss detection.
+//
+//dsvet:hotpath
 func (n *node) CommitLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) {
-	info, ok := n.inflight[tok]
-	if !ok {
+	slot := n.inflight.get(tok)
+	if slot == nil {
+		//dsvet:ok hotpath-alloc an unknown token is a simulator bug that ends the run
 		panic(fmt.Sprintf("core: node %d: commit of unknown load token %d", n.id, tok))
 	}
-	delete(n.inflight, tok)
+	info := *slot
+	*slot = issueInfo{}
 	line := n.l1.LineAddr(addr)
 	if n.cfg.TraceLine != 0 && line == n.cfg.TraceLine {
+		//dsvet:ok hotpath-alloc line tracing is a debugging mode that also forces the serial loop
 		n.m.traceEvent(n.id, "commitLoad tok=%d issueHit=%v commitHit=%v memCommits=%d", tok, info.hit, n.l1.Probe(addr), n.memCommits)
 	}
 
-	e := n.outstanding[line]
+	e := n.outstanding.get(line)
 
 	if n.l1.Probe(addr) {
 		// Commit-time hit: refresh recency only.
@@ -365,7 +380,7 @@ func (n *node) release(e *missEntry, line uint64, info issueInfo) {
 	}
 	e.refs--
 	if e.refs <= 0 {
-		delete(n.outstanding, line)
+		n.outstanding.del(line)
 		n.missFree = append(n.missFree, e)
 	}
 }
@@ -481,7 +496,7 @@ func (n *node) onBroadcast(line uint64, now uint64) {
 	for _, tok := range toks {
 		n.core.CompleteLoad(tok, now+n.cfg.BSHRCycles)
 	}
-	if e, ok := n.outstanding[line]; ok && e.pending {
+	if e := n.outstanding.get(line); e != nil && e.pending {
 		e.pending = false
 		e.dataAt = now + n.cfg.BSHRCycles
 	}

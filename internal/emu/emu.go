@@ -387,11 +387,20 @@ func checkAlign(ea uint64, size int) error {
 // untouched memory return zero.
 type Memory struct {
 	pages map[uint64][]byte
-	// lastPg/lastPage cache the most recently touched page: guest access
-	// streams have strong page locality, and the cache turns the common
-	// case into a compare instead of a map lookup.
-	lastPg   uint64
-	lastPage []byte
+	// memo caches recently touched pages, direct-mapped by page number:
+	// guest access streams cycle among a few pages (stack, scalars, one
+	// or two arrays or a hash table), and a hit turns the page lookup
+	// into a compare instead of a map probe. Entries alias pages, which
+	// are never removed, so the memo needs no invalidation.
+	memo [memoPages]memoPage
+}
+
+// memoPages is the page memo's size (a power of two).
+const memoPages = 32
+
+type memoPage struct {
+	pg   uint64
+	page []byte
 }
 
 // NewMemory returns an empty memory.
@@ -412,8 +421,9 @@ func (mem *Memory) Clone() *Memory {
 }
 
 func (mem *Memory) page(pg uint64, create bool) []byte {
-	if pg == mem.lastPg && mem.lastPage != nil {
-		return mem.lastPage
+	e := &mem.memo[pg%memoPages]
+	if e.pg == pg && e.page != nil {
+		return e.page
 	}
 	p, ok := mem.pages[pg]
 	if !ok && create {
@@ -421,7 +431,7 @@ func (mem *Memory) page(pg uint64, create bool) []byte {
 		mem.pages[pg] = p
 	}
 	if p != nil {
-		mem.lastPg, mem.lastPage = pg, p
+		e.pg, e.page = pg, p
 	}
 	return p
 }

@@ -284,20 +284,22 @@ type Core struct {
 
 	// ruu is the RUU as a ring buffer: the window always holds the
 	// contiguous seq range [head, nextSeq), so uop seq lives at slot
-	// seq % RUUSize and slot reuse preallocates every uop (and its wakeup
-	// slice) exactly once — the map of pointers this replaces allocated
-	// per dispatched instruction.
-	ruu     []uop
-	head    uint64 // oldest seq in window (commit pointer)
-	nextSeq uint64 // next seq to dispatch
-	lsqUsed int
+	// seq & slotMask and slot reuse preallocates every uop (and its
+	// wakeup row) exactly once. The ring is RUUSize rounded up to a power
+	// of two so the slot is a mask, not a modulo; occupancy is still
+	// capped at RUUSize by dispatch, so window timing is unchanged.
+	ruu      []uop
+	slotMask uint64
+	head     uint64 // oldest seq in window (commit pointer)
+	nextSeq  uint64 // next seq to dispatch
+	lsqUsed  int
 
 	lastWriter [isa.NumIntRegs + isa.NumFPRegs]struct {
 		seq   uint64
 		valid bool
 	}
 	// lastStore maps 8-byte-aligned chunk -> last store touching it.
-	lastStore map[uint64]storeRef
+	lastStore storeTable
 
 	comp compHeap
 	// readyBits has one bit per RUU slot: set iff that slot holds a
@@ -343,7 +345,7 @@ func (c *Core) lookup(seq uint64) *uop {
 	if seq < c.head || seq >= c.nextSeq {
 		return nil
 	}
-	return &c.ruu[seq%uint64(len(c.ruu))]
+	return &c.ruu[seq&c.slotMask]
 }
 
 // windowLen returns the current RUU occupancy.
@@ -367,7 +369,7 @@ func (c *Core) setReady(slot uint64) {
 //
 //dsvet:hotpath
 func (c *Core) popReadySlot() uint64 {
-	start := c.head % uint64(len(c.ruu))
+	start := c.head & c.slotMask
 	wi := int(start >> 6)
 	off := start & 63
 	// Bits at or above the head position in the head word come first...
@@ -409,25 +411,13 @@ func (c *Core) popReadySlot() uint64 {
 //
 //dsvet:hotpath
 func (c *Core) addDep(p, u *uop) {
-	us := u.seq % uint64(len(c.ruu))
-	w := &c.wake[(p.seq%uint64(len(c.ruu)))*uint64(c.wakeWords)+us>>6]
+	us := u.seq & c.slotMask
+	w := &c.wake[(p.seq&c.slotMask)*uint64(c.wakeWords)+us>>6]
 	bit := uint64(1) << (us & 63)
 	if *w&bit == 0 {
 		*w |= bit
 		u.waiting++
 	}
-}
-
-type storeRef struct {
-	seq  uint64
-	addr uint64
-	size int
-	// private marks stores inside a result-communication region. They
-	// must never forward to non-private loads: at DataScalar nodes that
-	// skip the region, the store is absent from the stream and cannot
-	// forward, so the owner forwarding would elide a broadcast the
-	// skippers are waiting on.
-	private bool
 }
 
 // New creates a core pulling instructions from src with memory system
@@ -436,15 +426,20 @@ func New(cfg Config, src Source, mem MemPort) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nw := (cfg.RUUSize + 63) / 64
+	slots := 1
+	for slots < cfg.RUUSize {
+		slots <<= 1
+	}
+	nw := (slots + 63) / 64
 	c := &Core{
 		cfg:       cfg,
 		src:       src,
 		mem:       mem,
-		ruu:       make([]uop, cfg.RUUSize),
-		lastStore: make(map[uint64]storeRef),
+		ruu:       make([]uop, slots),
+		slotMask:  uint64(slots - 1),
+		lastStore: newStoreTable(cfg.FwdDist),
 		readyBits: make([]uint64, nw),
-		wake:      make([]uint64, cfg.RUUSize*nw),
+		wake:      make([]uint64, slots*nw),
 		wakeWords: nw,
 	}
 	if p, ok := mem.(PrivatePort); ok {
@@ -663,7 +658,7 @@ func (c *Core) complete(now uint64) {
 		// consumer slot. Slot-scan order differs from seq order, but the
 		// effects (waiting decrements, ready-bit sets) commute, and the
 		// ready bitmap pops in seq order regardless of set order.
-		row := c.wake[(ev.seq%uint64(len(c.ruu)))*uint64(c.wakeWords):]
+		row := c.wake[(ev.seq&c.slotMask)*uint64(c.wakeWords):]
 		for wi := 0; wi < c.wakeWords; wi++ {
 			w := row[wi]
 			if w == 0 {
@@ -810,8 +805,8 @@ func (c *Core) admit(now uint64, d emu.Dyn) {
 	// already zeroed it when the slot's previous occupant finished, so
 	// this is defensive — but a stale bit would silently corrupt a
 	// waiting count, and wakeWords stores per admit are noise next to the
-	// map work below.
-	slot := c.nextSeq % uint64(len(c.ruu))
+	// dependence work below.
+	slot := c.nextSeq & c.slotMask
 	u := &c.ruu[slot]
 	*u = uop{seq: c.nextSeq, dyn: d}
 	row := c.wake[slot*uint64(c.wakeWords):]
@@ -844,7 +839,7 @@ func (c *Core) admit(now uint64, d emu.Dyn) {
 		// still dispatch its markers, so the barrier falls at the same
 		// program position everywhere and forwarding decisions stay
 		// identical across nodes (see internal/core/resultcomm.go).
-		clear(c.lastStore)
+		c.lastStore.setBarrier(u.seq)
 	}
 
 	// Record destination writer after reading sources (handles rd==rs).
@@ -860,65 +855,29 @@ func (c *Core) admit(now uint64, d emu.Dyn) {
 	}
 }
 
-// pruneStores bounds lastStore. A ref more than FwdDist seqs old can
-// never influence a forwarding decision (memDeps requires
-// u.seq-ref.seq <= FwdDist and every future load has u.seq >= nextSeq),
-// so stale entries are dead weight; on streaming stores they would grow
-// the map — and its allocations — without bound. Sweeping only when the
-// map is well past its live-entry bound (each store covers at most two
-// chunks) keeps the amortized cost O(1) per store.
-func (c *Core) pruneStores() {
-	if uint64(len(c.lastStore)) < 4*c.cfg.FwdDist+64 {
-		return
-	}
-	for chunk, ref := range c.lastStore {
-		if ref.seq+c.cfg.FwdDist < c.nextSeq {
-			delete(c.lastStore, chunk)
-		}
-	}
-}
-
 // memDeps establishes load/store ordering. Stores record their footprint;
 // loads forward from a containing recent store (adding a dependence on
 // it) or, on partial overlap, depend on the store conservatively.
 // The forwarding decision uses only program-order information (seq
 // distance), never node-local timing, so all DataScalar nodes decide
 // identically.
+//
+//dsvet:hotpath
 func (c *Core) memDeps(u *uop) {
 	op := u.dyn.Instr.Op
-	lo := u.dyn.EA &^ 7
-	hi := (u.dyn.EA + uint64(op.MemBytes()) - 1) &^ 7
+	size := op.MemBytes()
 	if op.IsStore() {
-		ref := storeRef{seq: u.seq, addr: u.dyn.EA, size: op.MemBytes(), private: u.dyn.Private}
-		for chunk := lo; ; chunk += 8 {
-			c.lastStore[chunk] = ref
-			if chunk == hi {
-				break
-			}
-		}
-		c.pruneStores()
+		c.lastStore.record(storeRef{seq: u.seq, addr: u.dyn.EA, size: size, private: u.dyn.Private})
 		return
 	}
-	// Load: find the youngest older store overlapping any chunk.
-	var best storeRef
-	found := false
-	for chunk := lo; ; chunk += 8 {
-		if ref, ok := c.lastStore[chunk]; ok && ref.seq < u.seq {
-			if overlaps(ref.addr, ref.size, u.dyn.EA, op.MemBytes()) {
-				if !found || ref.seq > best.seq {
-					best, found = ref, true
-				}
-			}
-		}
-		if chunk == hi {
-			break
-		}
-	}
-	if !found || u.seq-best.seq > c.cfg.FwdDist {
+	// Load: the youngest older store overlapping any chunk, if it is
+	// within FwdDist.
+	best, found := c.lastStore.youngest(u.seq, u.dyn.EA, size)
+	if !found {
 		return
 	}
 	contains := best.addr <= u.dyn.EA &&
-		best.addr+uint64(best.size) >= u.dyn.EA+uint64(op.MemBytes())
+		best.addr+uint64(best.size) >= u.dyn.EA+uint64(size)
 	if p := c.lookup(best.seq); p != nil && p.state != stCompleted {
 		c.addDep(p, u)
 	}
@@ -928,8 +887,4 @@ func (c *Core) memDeps(u *uop) {
 	}
 	// Partial overlap: the dependence alone orders the load after the
 	// store's completion; the load then accesses memory normally.
-}
-
-func overlaps(aAddr uint64, aSize int, bAddr uint64, bSize int) bool {
-	return aAddr < bAddr+uint64(bSize) && bAddr < aAddr+uint64(aSize)
 }

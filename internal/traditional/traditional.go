@@ -168,6 +168,10 @@ type Machine struct {
 	dram []*mem.DRAM
 
 	outstanding map[uint64]*missEntry
+	// missFree recycles missEntry records (and their waiting slices):
+	// every off-chip or on-chip miss opens an episode, and reuse keeps
+	// that off the allocator.
+	missFree []*missEntry
 	// attached records which in-flight loads hold a reference on their
 	// line's missEntry.
 	attached map[ooo.LoadToken]bool
@@ -242,6 +246,8 @@ func (m *Machine) homeChip(addr uint64) int {
 }
 
 // IssueLoad implements ooo.MemPort.
+//
+//dsvet:hotpath
 func (m *Machine) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int) (uint64, bool) {
 	line := m.l1.LineAddr(addr)
 	if e, ok := m.outstanding[line]; ok {
@@ -261,7 +267,15 @@ func (m *Machine) IssueLoad(now uint64, tok ooo.LoadToken, addr uint64, size int
 	}
 	m.stats.IssueMisses.Inc()
 
-	e := &missEntry{line: line, refs: 1}
+	var e *missEntry
+	if k := len(m.missFree); k > 0 {
+		e = m.missFree[k-1]
+		m.missFree = m.missFree[:k-1]
+		*e = missEntry{line: line, refs: 1, waiting: e.waiting[:0]}
+	} else {
+		//dsvet:ok hotpath-alloc the missEntry freelist grows to the peak number of open episodes, then recycles
+		e = &missEntry{line: line, refs: 1}
+	}
 	m.outstanding[line] = e
 	m.attached[tok] = true
 
@@ -319,6 +333,7 @@ func (m *Machine) release(tok ooo.LoadToken, line uint64) {
 		e.refs--
 		if e.refs <= 0 {
 			delete(m.outstanding, line)
+			m.missFree = append(m.missFree, e)
 		}
 	}
 }
@@ -439,7 +454,7 @@ func (m *Machine) deliver(arr bus.Arrival, now uint64) {
 		for _, tok := range e.waiting {
 			m.core.CompleteLoad(tok, e.dataAt)
 		}
-		e.waiting = nil
+		e.waiting = e.waiting[:0]
 	}
 }
 
