@@ -458,13 +458,6 @@ func ParseTopologyKind(s string) (TopologyKind, error) { return bus.ParseTopolog
 // topologies (ring, mesh, torus); set it on Config.Topology.Link.
 type LinkConfig = bus.LinkConfig
 
-// RingConfig is the former name of LinkConfig, kept for callers of the
-// pre-topology API.
-type RingConfig = bus.RingConfig
-
-// DefaultRingConfig returns ring links matching the default bus.
-func DefaultRingConfig() RingConfig { return bus.DefaultRingConfig() }
-
 // ---------------------------------------------------------------------------
 // Resilience: deterministic fault injection, divergence detection, and
 // degraded-mode recovery (docs/ROBUSTNESS.md).

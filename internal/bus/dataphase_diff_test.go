@@ -7,21 +7,22 @@ import (
 	"github.com/wisc-arch/datascalar/internal/stats"
 )
 
-// meshDataPhaseByBranch is the branch scan Mesh.DataPhase replaced,
+// dataPhaseByBranch is the branch scan LinkNet.DataPhase replaced,
 // kept as the reference model: every tree branch of a matching message
 // votes with its own state, and the query answers the highest phase.
-func meshDataPhaseByBranch(ms *Mesh, addr uint64, dst int) MsgPhase {
+func dataPhaseByBranch(ln *LinkNet, addr uint64, dst int) MsgPhase {
 	best := PhaseAbsent
-	for i := range ms.flight {
-		b := &ms.flight[i]
-		if !dataMatch(b.m.msg, addr, dst) {
+	for i := range ln.flight {
+		b := &ln.flight[i]
+		h := &ln.hdrs[b.m]
+		if !dataMatch(h.msg, addr, dst) {
 			continue
 		}
 		var p MsgPhase
 		switch {
 		case b.inFlight:
 			p = PhaseTransfer
-		case !b.m.injected && ms.linkFree[b.at*numDirs+int(b.dir)] <= b.readyAt:
+		case !h.injected && ln.linkFree[b.at*numDirs+int(b.dir)] <= b.readyAt:
 			p = PhaseQueued
 		default:
 			p = PhaseBlocked
@@ -33,95 +34,82 @@ func meshDataPhaseByBranch(ms *Mesh, addr uint64, dst int) MsgPhase {
 	return best
 }
 
-// checkMeshLive verifies the live-list invariants against the branch
-// set: one header per message with surviving branches, each at its own
-// slot with its address mirrored, and per-header branch and hop counts
+// checkLive verifies the header slab and live-list invariants against
+// the branch set: every slab slot is either live or free, exactly once;
+// one live header per message with surviving branches, each at its own
+// slot with its address mirrored; and per-header branch and hop counts
 // equal to what the branches say.
-func checkMeshLive(ms *Mesh) error {
-	if len(ms.live) != len(ms.liveAddr) {
-		return fmt.Errorf("live has %d headers, liveAddr %d", len(ms.live), len(ms.liveAddr))
+func checkLive(ln *LinkNet) error {
+	if len(ln.live) != len(ln.liveAddr) {
+		return fmt.Errorf("live has %d headers, liveAddr %d", len(ln.live), len(ln.liveAddr))
 	}
-	for i, h := range ms.live {
-		if h.slot != i || ms.liveAddr[i] != h.msg.Addr {
-			return fmt.Errorf("live[%d]: slot %d addr 0x%x, liveAddr 0x%x", i, h.slot, h.msg.Addr, ms.liveAddr[i])
+	owner := make([]string, len(ln.hdrs))
+	for i, hi := range ln.live {
+		if owner[hi] != "" {
+			return fmt.Errorf("slab slot %d is live twice", hi)
+		}
+		owner[hi] = "live"
+		h := &ln.hdrs[hi]
+		if int(h.slot) != i || ln.liveAddr[i] != h.msg.Addr {
+			return fmt.Errorf("live[%d]: slot %d addr 0x%x, liveAddr 0x%x", i, h.slot, h.msg.Addr, ln.liveAddr[i])
 		}
 	}
-	branches := make(map[*meshMsg]int)
-	hopping := make(map[*meshMsg]int)
-	for _, b := range ms.flight {
+	for _, hi := range ln.free {
+		if owner[hi] != "" {
+			return fmt.Errorf("slab slot %d is free but already %s", hi, owner[hi])
+		}
+		owner[hi] = "free"
+	}
+	if len(ln.live)+len(ln.free) != len(ln.hdrs) {
+		return fmt.Errorf("%d live + %d free slots, slab holds %d", len(ln.live), len(ln.free), len(ln.hdrs))
+	}
+	branches := make([]int, len(ln.hdrs))
+	hopping := make([]int, len(ln.hdrs))
+	for _, b := range ln.flight {
+		if owner[b.m] != "live" {
+			return fmt.Errorf("branch of %+v names slab slot %d, which is not live", ln.hdrs[b.m].msg, b.m)
+		}
 		branches[b.m]++
 		if b.inFlight {
 			hopping[b.m]++
 		}
-		if b.m.slot >= len(ms.live) || ms.live[b.m.slot] != b.m {
-			return fmt.Errorf("branch of %+v has a header missing from the live list", b.m.msg)
-		}
 	}
-	if len(branches) != len(ms.live) {
-		return fmt.Errorf("%d headers carry branches, %d are live", len(branches), len(ms.live))
-	}
-	bySrc := make([]int, ms.n)
-	for _, h := range ms.live {
-		if branches[h] != h.branches || hopping[h] != h.hopping {
+	bySrc := make([]int, ln.n)
+	for _, hi := range ln.live {
+		h := &ln.hdrs[hi]
+		if branches[hi] != h.branches || hopping[hi] != h.hopping {
 			return fmt.Errorf("header %+v: branches %d/%d, hopping %d/%d",
-				h.msg, h.branches, branches[h], h.hopping, hopping[h])
+				h.msg, h.branches, branches[hi], h.hopping, hopping[hi])
+		}
+		if h.branches == 0 {
+			return fmt.Errorf("header %+v is live with no branches", h.msg)
 		}
 		bySrc[h.msg.Src]++
 	}
 	for src, n := range bySrc {
-		if ms.bySrc[src] != n {
-			return fmt.Errorf("bySrc[%d] = %d, want %d", src, ms.bySrc[src], n)
+		if ln.bySrc[src] != n {
+			return fmt.Errorf("bySrc[%d] = %d, want %d", src, ln.bySrc[src], n)
 		}
 	}
 	return nil
 }
 
-// diffNet is one engine under the differential test: the network, its
-// reference DataPhase, and its structural invariant check.
+// diffNet is one engine under the differential test: the network and
+// the node count it was built for.
 type diffNet struct {
 	name  string
 	nodes int
-	build func() Network
-	ref   func(n Network, addr uint64, dst int) MsgPhase
-	check func(n Network) error
+	build func() *LinkNet
 }
 
 func diffNets() []diffNet {
-	meshRef := func(n Network, addr uint64, dst int) MsgPhase {
-		return meshDataPhaseByBranch(n.(*Mesh), addr, dst)
-	}
-	meshCheck := func(n Network) error { return checkMeshLive(n.(*Mesh)) }
 	return []diffNet{
-		{"ring8", 8, func() Network { return NewRing(DefaultLinkConfig(), 8) },
-			func(n Network, addr uint64, dst int) MsgPhase { return ringDataPhaseRef(n.(*Ring), addr, dst) },
-			func(Network) error { return nil }},
-		{"mesh12", 12, func() Network { return NewMesh(DefaultLinkConfig(), 12) }, meshRef, meshCheck},
-		{"torus16", 16, func() Network { return NewTorus(DefaultLinkConfig(), 16) }, meshRef, meshCheck},
-		{"mesh64", 64, func() Network { return NewMesh(DefaultLinkConfig(), 64) }, meshRef, meshCheck},
-		{"torus64", 64, func() Network { return NewTorus(DefaultLinkConfig(), 64) }, meshRef, meshCheck},
+		{"ring8", 8, func() *LinkNet { return NewRing(DefaultLinkConfig(), 8) }},
+		{"mesh12", 12, func() *LinkNet { return NewMesh(DefaultLinkConfig(), 12) }},
+		{"torus16", 16, func() *LinkNet { return NewTorus(DefaultLinkConfig(), 16) }},
+		{"mesh64", 64, func() *LinkNet { return NewMesh(DefaultLinkConfig(), 64) }},
+		{"torus64", 64, func() *LinkNet { return NewTorus(DefaultLinkConfig(), 64) }},
 	}
-}
-
-// ringDataPhaseRef restates the ring's per-message phase rule directly
-// over its flight list.
-func ringDataPhaseRef(r *Ring, addr uint64, dst int) MsgPhase {
-	best := PhaseAbsent
-	for _, f := range r.flight {
-		if !dataMatch(f.msg, addr, dst) {
-			continue
-		}
-		p := PhaseBlocked
-		switch {
-		case f.inFlight:
-			p = PhaseTransfer
-		case !f.injected && r.linkFree[f.at] <= f.readyAt:
-			p = PhaseQueued
-		}
-		if p > best {
-			best = p
-		}
-	}
-	return best
 }
 
 // randomMessage draws a message over a small line set, so queries hit
@@ -155,7 +143,10 @@ func randomMessage(rng *stats.RNG, nodes int, now uint64, lines []uint64) Messag
 // exactly what the reference scan does for every (line, node) pair. A
 // scratch copied from the network mid-run is then driven in lockstep
 // with it (same enqueues, ticks and purges), so CopyStateFrom must
-// reproduce state that both delivers and classifies identically.
+// reproduce state that both delivers and classifies identically. Before
+// each copy the scratch runs ahead on traffic of its own, as a
+// prediction scratchpad does, so the copy must overwrite every piece of
+// its state rather than find it already equal.
 func TestDataPhaseMatchesBranchScan(t *testing.T) {
 	lines := []uint64{0x1000, 0x1020, 0x1040, 0x2000, 0x2020}
 	seeds, cycles := uint64(3), uint64(1500)
@@ -166,13 +157,14 @@ func TestDataPhaseMatchesBranchScan(t *testing.T) {
 		for seed := uint64(1); seed <= seeds; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", dn.name, seed), func(t *testing.T) {
 				rng := stats.NewRNG(seed)
+				ahead := stats.NewRNG(seed + 1000)
 				net := dn.build()
-				scratch := net.NewScratch()
+				scratch := net.NewScratch().(*LinkNet)
 				synced := false
 				var seen [PhaseTransfer + 1]int
-				verify := func(n Network, what string, now uint64) {
+				verify := func(n *LinkNet, what string, now uint64) {
 					t.Helper()
-					if err := dn.check(n); err != nil {
+					if err := checkLive(n); err != nil {
 						t.Fatalf("cycle %d (%s): %v", now, what, err)
 					}
 					// Large networks sample an eighth of the nodes per
@@ -180,7 +172,7 @@ func TestDataPhaseMatchesBranchScan(t *testing.T) {
 					stride := max(1, dn.nodes/8)
 					for _, addr := range lines {
 						for dst := int(now) % stride; dst < dn.nodes; dst += stride {
-							if got, want := n.DataPhase(addr, dst, now), dn.ref(n, addr, dst); got != want {
+							if got, want := n.DataPhase(addr, dst, now), dataPhaseByBranch(n, addr, dst); got != want {
 								t.Fatalf("cycle %d (%s): DataPhase(0x%x, %d) = %v, branch scan %v",
 									now, what, addr, dst, got, want)
 							} else {
@@ -221,6 +213,12 @@ func TestDataPhaseMatchesBranchScan(t *testing.T) {
 						}
 					}
 					if rng.Intn(60) == 0 {
+						for k := uint64(1); k <= 8; k++ {
+							if ahead.Intn(2) == 0 {
+								scratch.Enqueue(randomMessage(ahead, dn.nodes, now+k, lines))
+							}
+							scratch.Tick(now + k)
+						}
 						scratch.CopyStateFrom(net)
 						synced = true
 					}

@@ -79,7 +79,7 @@ func TestBusDataPhaseBlockedVsQueued(t *testing.T) {
 }
 
 func TestRingDataPhase(t *testing.T) {
-	r := NewRing(DefaultRingConfig(), 4)
+	r := NewRing(DefaultLinkConfig(), 4)
 	if p := r.DataPhase(0x100, 2, 0); p != PhaseAbsent {
 		t.Fatalf("empty ring: phase = %v, want absent", p)
 	}
@@ -115,13 +115,13 @@ func TestDataPhaseZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Bus.DataPhase allocated %.2f times per call", allocs)
 	}
-	r := NewRing(DefaultRingConfig(), 4)
+	r := NewRing(DefaultLinkConfig(), 4)
 	r.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: 0x100, PayloadBytes: 32, ReadyAt: 0})
 	r.Tick(0)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		r.DataPhase(0x100, 2, 0)
 	}); allocs != 0 {
-		t.Fatalf("Ring.DataPhase allocated %.2f times per call", allocs)
+		t.Fatalf("ring LinkNet.DataPhase allocated %.2f times per call", allocs)
 	}
 	for _, wrap := range []bool{false, true} {
 		ms, now := loadedMesh64(wrap)
@@ -130,7 +130,7 @@ func TestDataPhaseZeroAllocs(t *testing.T) {
 				ms.DataPhase(addr, 63, now)
 			}
 		}); allocs != 0 {
-			t.Fatalf("wrap=%v: loaded 64-node Mesh.DataPhase allocated %.2f times per call", wrap, allocs)
+			t.Fatalf("wrap=%v: loaded 64-node LinkNet.DataPhase allocated %.2f times per call", wrap, allocs)
 		}
 	}
 }
@@ -139,7 +139,7 @@ func TestDataPhaseZeroAllocs(t *testing.T) {
 // from spread-out sources mid-flight — about 200 branches, the load a
 // 64-node ESP run keeps on the wire — and returns it with the cycle it
 // was last ticked at.
-func loadedMesh64(wrap bool) (*Mesh, uint64) {
+func loadedMesh64(wrap bool) (*LinkNet, uint64) {
 	ms := NewMesh(DefaultLinkConfig(), 64)
 	if wrap {
 		ms = NewTorus(DefaultLinkConfig(), 64)
@@ -178,7 +178,7 @@ func BenchmarkDataPhase(b *testing.B) {
 		b.Run("branches/"+q.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				meshDataPhaseByBranch(ms, q.addr, 63)
+				dataPhaseByBranch(ms, q.addr, 63)
 			}
 		})
 	}
@@ -221,8 +221,8 @@ func TestMeshDataPhase(t *testing.T) {
 // phases cannot flip inside a skipped stretch.
 func TestMeshDataPhaseStableUnderSkip(t *testing.T) {
 	const addr, dst, until = 0x200, 8, 400
-	build := func(wrap bool) *Mesh {
-		var ms *Mesh
+	build := func(wrap bool) *LinkNet {
+		var ms *LinkNet
 		if wrap {
 			ms = NewTorus(DefaultLinkConfig(), 9)
 		} else {

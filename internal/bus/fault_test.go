@@ -34,7 +34,7 @@ func TestBusPurgeSource(t *testing.T) {
 // PurgeSource on a ring removes messages that have not started their
 // first hop; travelling messages keep circulating to completion.
 func TestRingPurgeSource(t *testing.T) {
-	r := NewRing(RingConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 1}, 3)
+	r := NewRing(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 1}, 3)
 	r.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: 0x100, PayloadBytes: 8})
 	r.Tick(0) // first hop starts: 0x100 is travelling
 	r.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: 0x200, PayloadBytes: 8, ReadyAt: 50})
@@ -73,7 +73,7 @@ func TestCtlZeroValueIsNone(t *testing.T) {
 // every destination — the routers forward them without the dead source.
 func TestMeshPurgeSource(t *testing.T) {
 	for _, wrap := range []bool{false, true} {
-		var ms *Mesh
+		var ms *LinkNet
 		if wrap {
 			ms = NewTorus(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 1}, 9)
 		} else {

@@ -5,21 +5,10 @@ import (
 	"testing/quick"
 )
 
-func runRing(r *Ring, until uint64) map[uint64][]Arrival {
-	out := map[uint64][]Arrival{}
-	for now := uint64(0); now <= until && (r.Pending() > 0 || now == 0); now++ {
-		// Tick's slice is only valid until the next call: copy to retain.
-		if arr := r.Tick(now); len(arr) > 0 {
-			out[now] = append([]Arrival(nil), arr...)
-		}
-	}
-	return out
-}
-
 func TestRingBroadcastVisitsEveryNode(t *testing.T) {
-	r := NewRing(RingConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 4)
+	r := NewRing(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 4)
 	r.Enqueue(Message{Kind: Broadcast, Src: 1, Addr: 0x100, PayloadBytes: 8})
-	byCycle := runRing(r, 100)
+	byCycle := runNet(r, 100)
 
 	seen := map[int]uint64{}
 	for cyc, arrs := range byCycle {
@@ -44,9 +33,9 @@ func TestRingBroadcastVisitsEveryNode(t *testing.T) {
 }
 
 func TestRingPointToPointStopsAtDst(t *testing.T) {
-	r := NewRing(DefaultRingConfig(), 4)
+	r := NewRing(DefaultLinkConfig(), 4)
 	r.Enqueue(Message{Kind: Request, Src: 0, Dst: 2, Addr: 0x40})
-	byCycle := runRing(r, 200)
+	byCycle := runNet(r, 200)
 	var arrivals []Arrival
 	for _, a := range byCycle {
 		arrivals = append(arrivals, a...)
@@ -59,11 +48,11 @@ func TestRingPointToPointStopsAtDst(t *testing.T) {
 func TestRingLinksCarryConcurrently(t *testing.T) {
 	// Two point-to-point messages on disjoint links must not serialize:
 	// 0->1 and 2->3 use links 0 and 2.
-	cfg := RingConfig{WidthBytes: 8, ClockDivisor: 4, HopCycles: 0}
+	cfg := LinkConfig{WidthBytes: 8, ClockDivisor: 4, HopCycles: 0}
 	r := NewRing(cfg, 4)
 	r.Enqueue(Message{Kind: Request, Src: 0, Dst: 1})
 	r.Enqueue(Message{Kind: Request, Src: 2, Dst: 3})
-	byCycle := runRing(r, 100)
+	byCycle := runNet(r, 100)
 	var cycles []uint64
 	for cyc, arrs := range byCycle {
 		for range arrs {
@@ -81,7 +70,7 @@ func TestRingLinksCarryConcurrently(t *testing.T) {
 	r2 := NewRing(cfg, 4)
 	r2.Enqueue(Message{Kind: Request, Src: 0, Dst: 1})
 	r2.Enqueue(Message{Kind: Request, Src: 0, Dst: 1})
-	byCycle = runRing(r2, 200)
+	byCycle = runNet(r2, 200)
 	cycles = cycles[:0]
 	for cyc, arrs := range byCycle {
 		for range arrs {
@@ -94,9 +83,9 @@ func TestRingLinksCarryConcurrently(t *testing.T) {
 }
 
 func TestRingHonorsReadyAt(t *testing.T) {
-	r := NewRing(RingConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 2)
+	r := NewRing(LinkConfig{WidthBytes: 8, ClockDivisor: 1, HopCycles: 0}, 2)
 	r.Enqueue(Message{Kind: Broadcast, Src: 0, ReadyAt: 50})
-	byCycle := runRing(r, 200)
+	byCycle := runNet(r, 200)
 	for cyc := range byCycle {
 		if cyc < 50 {
 			t.Fatalf("delivery at %d before ReadyAt", cyc)
@@ -108,10 +97,10 @@ func TestRingHonorsReadyAt(t *testing.T) {
 }
 
 func TestRingValidation(t *testing.T) {
-	if err := (RingConfig{WidthBytes: 0, ClockDivisor: 1}).Validate(); err == nil {
+	if err := (LinkConfig{WidthBytes: 0, ClockDivisor: 1}).Validate(); err == nil {
 		t.Error("zero width accepted")
 	}
-	if err := (RingConfig{WidthBytes: 8, ClockDivisor: 0}).Validate(); err == nil {
+	if err := (LinkConfig{WidthBytes: 8, ClockDivisor: 0}).Validate(); err == nil {
 		t.Error("zero divisor accepted")
 	}
 	mustPanic := func(name string, f func()) {
@@ -122,8 +111,41 @@ func TestRingValidation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("bad nodes", func() { NewRing(DefaultRingConfig(), 0) })
-	mustPanic("bad src", func() { NewRing(DefaultRingConfig(), 2).Enqueue(Message{Src: 9}) })
+	mustPanic("bad nodes", func() { NewRing(DefaultLinkConfig(), 0) })
+	mustPanic("bad src", func() { NewRing(DefaultLinkConfig(), 2).Enqueue(Message{Src: 9}) })
+	// No machine sends to itself; a self-send is a caller bug on every
+	// link topology, not a lap of the ring.
+	mustPanic("self-send", func() {
+		NewRing(DefaultLinkConfig(), 4).Enqueue(Message{Kind: Request, Src: 1, Dst: 1})
+	})
+}
+
+// TestRingSingleNodeBroadcast: a 1-node ring has nobody to deliver to,
+// so a broadcast counts as sent but never occupies a link.
+func TestRingSingleNodeBroadcast(t *testing.T) {
+	r := NewRing(DefaultLinkConfig(), 1)
+	r.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: 0x100, PayloadBytes: 32})
+	if r.Pending() != 0 || r.SourcePending(0) != 0 {
+		t.Fatalf("pending = %d, source pending = %d, want 0", r.Pending(), r.SourcePending(0))
+	}
+	if next := r.NextDeliveryCycle(0); next != NoEvent {
+		t.Fatalf("NextDeliveryCycle = %d, want NoEvent", next)
+	}
+	for now := uint64(0); now < 100; now++ {
+		if arr := r.Tick(now); len(arr) != 0 {
+			t.Fatalf("cycle %d: arrivals %+v", now, arr)
+		}
+	}
+	st := r.NetStats()
+	if st.Messages.Value() != 1 || st.BusyCycles.Value() != 0 {
+		t.Fatalf("messages = %d, busy cycles = %d, want 1 and 0",
+			st.Messages.Value(), st.BusyCycles.Value())
+	}
+	// The header slot goes straight back for the next message.
+	r.Enqueue(Message{Kind: Broadcast, Src: 0, Addr: 0x200, PayloadBytes: 32})
+	if len(r.hdrs) != 1 {
+		t.Fatalf("header slab holds %d slots, want 1", len(r.hdrs))
+	}
 }
 
 // Property: every broadcast is delivered to exactly n-1 nodes and the
@@ -134,7 +156,7 @@ func TestRingConservationQuick(t *testing.T) {
 			srcs = srcs[:24]
 		}
 		const n = 5
-		r := NewRing(RingConfig{WidthBytes: 4, ClockDivisor: 2, HopCycles: 1}, n)
+		r := NewRing(LinkConfig{WidthBytes: 4, ClockDivisor: 2, HopCycles: 1}, n)
 		for i, s := range srcs {
 			r.Enqueue(Message{
 				Kind:         Broadcast,

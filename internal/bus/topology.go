@@ -110,7 +110,7 @@ func (k TopologyKind) Links(numNodes int) int {
 }
 
 // Build constructs the Network for numNodes nodes. It panics on invalid
-// configuration (experiment-setup error), matching New and NewRing.
+// configuration (experiment-setup error), matching New and NewMesh.
 func (t Topology) Build(numNodes int) Network {
 	switch t.Kind {
 	case TopoBus:

@@ -54,7 +54,7 @@ func (k MachineKind) String() string {
 // Job describes one independent timing simulation: which workload, which
 // machine, at what size, under what configuration twist. Jobs carry no
 // run state and are safe to copy; everything a job references (the
-// assembled Program, an explicit PageTable, a RingConfig reached through
+// assembled Program, an explicit PageTable, a LinkConfig reached through
 // a mutator) is read-only to the machines, so any number of jobs may run
 // concurrently.
 type Job struct {

@@ -128,7 +128,7 @@ func ownerComputeIPC(pr prepared, refInstr uint64, nodes int, perfectIPC float64
 	// Expected dimension-order hop count between uniformly placed owners
 	// on the W x H mesh: E|dx| + E|dy| for independent uniform
 	// coordinates.
-	w, h := bus.NewMesh(bus.DefaultLinkConfig(), nodes).Dims()
+	w, h := bus.GridDims(nodes)
 	avgHops := float64(w*w-1)/(3*float64(w)) + float64(h*h-1)/(3*float64(h))
 	// Per-hop cost of a 16-byte task descriptor at the default link.
 	link := bus.DefaultLinkConfig()
